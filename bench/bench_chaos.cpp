@@ -71,10 +71,11 @@ BM_GreedyRepair(benchmark::State &state)
 {
     const sched::Scheduler scheduler(fourNodeSystem());
     const auto flows = deploymentFlows();
+    const std::vector<double> priorities{1.0, 3.0};
     const sched::Schedule &original = deploymentSchedule();
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            scheduler.greedyRepair(flows, original, {1}));
+        benchmark::DoNotOptimize(scheduler.greedyRepair(
+            flows, priorities, original, {1}));
 }
 BENCHMARK(BM_GreedyRepair);
 

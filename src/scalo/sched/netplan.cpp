@@ -43,23 +43,9 @@ buildNetworkPlan(const std::vector<FlowSpec> &flows,
             continue;
         const auto &alloc = schedule.flows[f];
 
-        // Which nodes transmit for this flow's pattern.
-        std::vector<NodeId> senders;
-        switch (flow.network->pattern) {
-          case net::Pattern::OneToAll:
-            senders.push_back(0);
-            break;
-          case net::Pattern::AllToAll:
-            for (NodeId n = 0; n < nodes; ++n)
-                senders.push_back(n);
-            break;
-          case net::Pattern::AllToOne:
-            for (NodeId n = 1; n < nodes; ++n)
-                senders.push_back(n);
-            break;
-        }
-
-        for (NodeId sender : senders) {
+        for (const std::size_t sender :
+             senders(flow.network->pattern,
+                     std::vector<bool>(nodes, true))) {
             const double electrodes =
                 alloc.electrodesPerNode[sender];
             const auto payload = static_cast<std::size_t>(
@@ -69,7 +55,7 @@ buildNetworkPlan(const std::vector<FlowSpec> &flows,
             if (payload == 0)
                 continue;
             TdmaSlot slot;
-            slot.sender = sender;
+            slot.sender = static_cast<NodeId>(sender);
             slot.flow = flow.name;
             slot.payloadBytes = payload;
             slot.start = cursor;

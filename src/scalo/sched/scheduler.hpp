@@ -49,13 +49,23 @@ struct SystemConfig
      * spanning every node, the legacy medium).
      */
     net::ClusterPlan clusters;
-    /**
-     * At or below this node count the scheduler keeps the dense
-     * monolithic solve even when a multi-cluster plan is configured,
-     * so small-N schedules are bit-identical to the flat ones.
-     */
-    std::size_t monolithicNodeThreshold = 48;
 };
+
+/**
+ * At or below this node count the scheduler keeps the dense
+ * monolithic solve even when a multi-cluster plan is configured, so
+ * small-N schedules are bit-identical to the flat ones.
+ */
+inline constexpr std::size_t kMonolithicNodeThreshold = 48;
+
+/**
+ * Indices of live nodes that transmit for @p pattern, ascending. With
+ * every node alive this reproduces the canonical roles (node 0
+ * broadcasts / aggregates); after failures the first surviving node
+ * inherits the broadcaster/aggregator role.
+ */
+std::vector<std::size_t> senders(net::Pattern pattern,
+                                 const std::vector<bool> &alive);
 
 /** Electrode allocation of one flow across nodes. */
 struct FlowAllocation
@@ -131,9 +141,11 @@ class Scheduler
      * onto surviving nodes in proportion to their remaining power
      * headroom, clipped by the per-node electrode ceiling. Always
      * returns a schedule (possibly with work shed when nothing fits),
-     * so degradation never depends on solver feasibility.
+     * so degradation never depends on solver feasibility. It is the
+     * per-cluster greedy pass run on the whole fabric as one cluster.
      */
     Schedule greedyRepair(const std::vector<FlowSpec> &flows,
+                          const std::vector<double> &priorities,
                           const Schedule &original,
                           const std::vector<std::size_t> &dead_nodes)
         const;
@@ -149,15 +161,15 @@ class Scheduler
 
     /**
      * True when schedule()/reschedule() use the decomposed per-cluster
-     * formulation: a multi-cluster plan above the monolithic
-     * threshold.
+     * formulation: a multi-cluster plan above
+     * kMonolithicNodeThreshold nodes.
      */
     bool decomposed() const;
 
     /**
      * Force the dense whole-fabric solve regardless of the cluster
      * plan (the small-N reference, and the baseline the scaling bench
-     * times against).
+     * times against): the per-cluster solve on a one-cluster plan.
      */
     Schedule
     scheduleMonolithic(const std::vector<FlowSpec> &flows,
@@ -168,7 +180,7 @@ class Scheduler
      * (intra-cluster share of each flow's round budget), then greedy
      * stitching of the inter-cluster relay traffic into the backbone
      * share, scaling flows down when the backbone would overrun.
-     * Falls back to the monolithic solve on single-cluster plans.
+     * On a single-cluster plan this is the monolithic solve.
      */
     Schedule
     scheduleDecomposed(const std::vector<FlowSpec> &flows,
@@ -216,29 +228,55 @@ class Scheduler
         const;
 
   private:
-    Schedule scheduleMasked(const std::vector<FlowSpec> &flows,
-                            const std::vector<double> &priorities,
-                            const std::vector<bool> &alive) const;
+    /**
+     * Solve every cluster of @p plan over the @p alive nodes, merge,
+     * stitch the backbone (multi-cluster plans only) and finalize.
+     * With the flat plan this is the monolithic solve.
+     */
+    Schedule solve(const std::vector<FlowSpec> &flows,
+                   const std::vector<double> &priorities,
+                   const std::vector<bool> &alive,
+                   const net::ClusterPlan &plan) const;
 
     /**
      * Compact sub-ILP over @p cluster's members: variables and
      * constraints only for member nodes, the flow round budgets
-     * scaled to the intra-cluster share. Returns full-width
-     * allocations with zeros outside the cluster; nodePower is left
-     * empty (the caller computes it over the merged schedule).
+     * scaled to the intra-cluster share of @p plan. Returns only the
+     * per-node electrodes, full width with zeros outside the cluster
+     * (the caller finalizes the merged schedule). Safe to call
+     * concurrently: it reads shared state only.
      */
     Schedule
     scheduleClusterMasked(const std::vector<FlowSpec> &flows,
                           const std::vector<double> &priorities,
                           const std::vector<bool> &alive,
+                          const net::ClusterPlan &plan,
                           std::size_t cluster) const;
 
-    /** Cluster-restricted greedy repair (same policy as greedyRepair). */
+    /**
+     * The greedy redistribution pass over @p cluster of @p plan: shed
+     * the work of dead or no-longer-eligible members onto the
+     * survivors' power headroom, then fit the intra-cluster round.
+     */
     void
     greedyRepairCluster(const std::vector<FlowSpec> &flows,
                         Schedule &repaired,
                         const std::vector<bool> &alive,
+                        const net::ClusterPlan &plan,
                         std::size_t cluster) const;
+
+    /**
+     * Re-solve @p clusters of @p repaired around the dead nodes: each
+     * by its sub-ILP (clamped to @p original's per-cluster totals
+     * when @p clamp), or by the greedy pass when that is infeasible.
+     * True when every cluster came from the ILP.
+     */
+    bool resolveClusters(const std::vector<FlowSpec> &flows,
+                         const std::vector<double> &priorities,
+                         const Schedule &original, Schedule &repaired,
+                         const std::vector<bool> &alive,
+                         const std::vector<std::size_t> &clusters,
+                         bool clamp) const;
 
     /**
      * Greedy backbone stitching: fit each networked flow's per-cluster
@@ -248,15 +286,19 @@ class Scheduler
      */
     void stitchBackbone(const std::vector<FlowSpec> &flows,
                         Schedule &combined,
-                        const std::vector<bool> &alive) const;
+                        const std::vector<bool> &alive,
+                        const net::ClusterPlan &plan) const;
 
     /** Recompute totals/throughput/nodePower after a merge or stitch. */
     void finalizeSchedule(const std::vector<FlowSpec> &flows,
                           const std::vector<double> &priorities,
                           Schedule &combined,
-                          const std::vector<bool> &alive) const;
+                          const std::vector<bool> &alive,
+                          const net::ClusterPlan &plan) const;
 
     SystemConfig systemConfig;
+    /** One cluster spanning every node: the monolithic formulation. */
+    net::ClusterPlan flatPlan;
     net::ClusterPlan effectivePlan;
 };
 

@@ -6,9 +6,7 @@
  * The transforms execute through the planned kernel layer
  * (`FftPlan`, fft_plan.hpp): cached twiddle/bit-reversal tables, a
  * real-input `rfft` that halves the complex work, and caller-provided
- * scratch so steady-state spectral features allocate nothing. The
- * single-shot `fft`/`ifft` entry points remain as thin forwarders for
- * out-of-tree callers.
+ * scratch so steady-state spectral features allocate nothing.
  */
 
 #pragma once

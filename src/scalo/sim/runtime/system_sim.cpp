@@ -25,27 +25,6 @@ constexpr std::uint64_t kBackboneChannelSalt = 0xbbbb'0000ULL;
 /** Domain separator for the backbone backoff stream. */
 constexpr std::uint64_t kBackboneBackoffSalt = 0xbbbb'ffffULL;
 
-/** Indices of transmitting nodes, matching the scheduler's model. */
-std::vector<std::size_t>
-senderNodes(net::Pattern pattern, std::size_t nodes)
-{
-    std::vector<std::size_t> out;
-    switch (pattern) {
-      case net::Pattern::OneToAll:
-        out.push_back(0);
-        break;
-      case net::Pattern::AllToAll:
-        for (std::size_t n = 0; n < nodes; ++n)
-            out.push_back(n);
-        break;
-      case net::Pattern::AllToOne:
-        for (std::size_t n = 1; n < nodes; ++n)
-            out.push_back(n);
-        break;
-    }
-    return out;
-}
-
 std::uint64_t
 toTicks(units::Micros t)
 {
@@ -343,8 +322,9 @@ SystemSim::SystemSim(SystemSimConfig cfg)
         rt.analyticResponseUs =
             units::Micros(reference.latency()).count();
         if (rt.networked) {
-            for (std::size_t n :
-                 senderNodes(spec.network->pattern, node_count)) {
+            for (std::size_t n : sched::senders(
+                     spec.network->pattern,
+                     std::vector<bool>(node_count, true))) {
                 if (alloc.electrodesPerNode[n] <=
                         kParticipantEpsilon &&
                     spec.network->bytesPerNode <= 0.0)

@@ -356,9 +356,11 @@ class SystemSim
      * Backbone-cadence failure detector over *clusters*: each
      * backbone round a cluster with alive senders either reached the
      * backbone (heard) or did not (miss); crossing the miss threshold
-     * declares the cluster partitioned. Sized to the cluster count.
+     * declares the cluster partitioned. Sized to the cluster count
+     * in the constructor; until then it watches one placeholder
+     * cluster (a detector over zero nodes violates its contract).
      */
-    net::HeartbeatDetector backboneDetector{0, 3};
+    net::HeartbeatDetector backboneDetector{1, 3};
     /** The backbone detector changed state since the last restitch. */
     bool backboneRestitchPending = false;
     /** Latest tick of any event that requested the pending restitch

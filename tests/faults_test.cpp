@@ -460,14 +460,22 @@ TEST(Reschedule, GreedyRepairShedsDeadAndRedistributes)
 {
     const sched::Scheduler scheduler(fourNodeSystem());
     const auto flows = deploymentFlows();
+    const std::vector<double> priorities{1.0, 3.0};
     const sched::Schedule original =
-        scheduler.schedule(flows, {1.0, 3.0});
+        scheduler.schedule(flows, priorities);
     ASSERT_TRUE(original.feasible);
 
     const sched::Schedule repaired =
-        scheduler.greedyRepair(flows, original, {1});
+        scheduler.greedyRepair(flows, priorities, original, {1});
     ASSERT_TRUE(repaired.feasible);
     EXPECT_DOUBLE_EQ(nodeElectrodes(repaired, 1), 0.0);
+    // The repaired schedule carries its own priority-weighted total.
+    double weighted = 0.0;
+    for (std::size_t f = 0; f < flows.size(); ++f)
+        weighted +=
+            priorities[f] * repaired.flows[f].throughput.count();
+    EXPECT_GT(weighted, 0.0);
+    EXPECT_DOUBLE_EQ(repaired.weightedThroughput.count(), weighted);
     // Survivors keep at least what they had: repair only adds.
     for (const std::size_t node : {0u, 2u, 3u})
         EXPECT_GE(nodeElectrodes(repaired, node),

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "scalo/sched/scheduler.hpp"
@@ -52,6 +53,30 @@ maxPowerMw(const Schedule &schedule)
     return max;
 }
 
+/** Every field of two schedules compares equal, doubles bit for bit. */
+void
+expectBitIdentical(const Schedule &a, const Schedule &b)
+{
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.reason, b.reason);
+    ASSERT_EQ(a.flows.size(), b.flows.size());
+    for (std::size_t f = 0; f < a.flows.size(); ++f) {
+        EXPECT_EQ(a.flows[f].electrodesPerNode,
+                  b.flows[f].electrodesPerNode);
+        EXPECT_EQ(a.flows[f].totalElectrodes,
+                  b.flows[f].totalElectrodes);
+        EXPECT_EQ(a.flows[f].throughput.count(),
+                  b.flows[f].throughput.count());
+    }
+    ASSERT_EQ(a.nodePower.size(), b.nodePower.size());
+    for (std::size_t n = 0; n < a.nodePower.size(); ++n)
+        EXPECT_EQ(a.nodePower[n].count(), b.nodePower[n].count())
+            << "node " << n;
+    EXPECT_EQ(a.totalThroughput.count(), b.totalThroughput.count());
+    EXPECT_EQ(a.weightedThroughput.count(),
+              b.weightedThroughput.count());
+}
+
 TEST(SchedScale, Decomposed64Feasible)
 {
     const Scheduler scheduler(clusteredConfig(64, 8));
@@ -78,26 +103,43 @@ TEST(SchedScale, Decomposed64Feasible)
 
 TEST(SchedScale, MonolithicBelowThresholdIsBitIdenticalToFlat)
 {
-    // 16 nodes in 4 clusters sits below the monolithic threshold
-    // (48), so the clustered scheduler must keep the dense solve and
-    // reproduce the flat allocation bit for bit.
-    const Scheduler clustered(clusteredConfig(16, 4));
+    // 16 nodes sits below kMonolithicNodeThreshold, so an explicit
+    // one-cluster plan and a 4-cluster plan must both keep the dense
+    // solve and reproduce the flat scheduler bit for bit: schedule(),
+    // reschedule() and greedyRepair() alike.
+    static_assert(16 <= kMonolithicNodeThreshold);
+    SystemConfig one_cluster = clusteredConfig(16, 1);
+    one_cluster.clusters = net::ClusterPlan::balanced(16, 1);
     const Scheduler flat(clusteredConfig(16, 1));
-    ASSERT_FALSE(clustered.decomposed());
+    const Scheduler explicit_flat(one_cluster);
+    const Scheduler clustered(clusteredConfig(16, 4));
     ASSERT_EQ(clustered.plan().clusterCount(), 4u);
 
-    const Schedule a = clustered.schedule(mixedFlows(), kPriorities);
-    const Schedule b = flat.schedule(mixedFlows(), kPriorities);
-    ASSERT_TRUE(a.feasible);
-    ASSERT_TRUE(b.feasible);
-    ASSERT_EQ(a.flows.size(), b.flows.size());
-    for (std::size_t f = 0; f < a.flows.size(); ++f) {
-        EXPECT_EQ(a.flows[f].electrodesPerNode,
-                  b.flows[f].electrodesPerNode);
-        EXPECT_EQ(a.flows[f].totalElectrodes,
-                  b.flows[f].totalElectrodes);
+    const std::vector<FlowSpec> flows = mixedFlows();
+    const Schedule reference = flat.schedule(flows, kPriorities);
+    ASSERT_TRUE(reference.feasible);
+    for (const Scheduler *scheduler : {&explicit_flat, &clustered}) {
+        ASSERT_FALSE(scheduler->decomposed());
+        const Schedule original =
+            scheduler->schedule(flows, kPriorities);
+        expectBitIdentical(original, reference);
+        // Losing node 0 hands its broadcaster/aggregator role on.
+        for (const std::vector<std::size_t> &dead :
+             {std::vector<std::size_t>{1},
+              std::vector<std::size_t>{0}}) {
+            const RescheduleResult a = scheduler->reschedule(
+                flows, kPriorities, original, dead);
+            const RescheduleResult b =
+                flat.reschedule(flows, kPriorities, reference, dead);
+            EXPECT_EQ(a.viaIlp, b.viaIlp);
+            expectBitIdentical(a.schedule, b.schedule);
+            expectBitIdentical(
+                scheduler->greedyRepair(flows, kPriorities, original,
+                                        dead),
+                flat.greedyRepair(flows, kPriorities, reference,
+                                  dead));
+        }
     }
-    EXPECT_EQ(a.totalThroughput.count(), b.totalThroughput.count());
 }
 
 TEST(SchedScale, DecompositionGapIsBounded)
@@ -194,6 +236,45 @@ TEST(SchedScale, RescheduleClusterMatchesFullReschedule)
         }
 }
 
+TEST(SchedScale, RescheduleClusterConcurrentMatchesSerial)
+{
+    // rescheduleCluster's contract: concurrent calls for distinct
+    // clusters are safe. Four threads each re-solve a different
+    // cluster of the 64-node fabric (cluster 0 loses node 0, the
+    // broadcaster/aggregator and its relay); every result must equal
+    // the serial call bit for bit.
+    const Scheduler scheduler(clusteredConfig(64, 8));
+    ASSERT_TRUE(scheduler.decomposed());
+    const std::vector<FlowSpec> flows = mixedFlows();
+    const Schedule original =
+        scheduler.schedule(flows, kPriorities);
+    ASSERT_TRUE(original.feasible);
+
+    const std::vector<std::size_t> dead{0, 19, 42, 63};
+    const auto repair = [&](std::size_t node) {
+        return scheduler.rescheduleCluster(
+            flows, kPriorities, original, {node},
+            scheduler.plan().clusterOf(node));
+    };
+    std::vector<RescheduleResult> serial;
+    for (const std::size_t node : dead)
+        serial.push_back(repair(node));
+    std::vector<RescheduleResult> concurrent(dead.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < dead.size(); ++i)
+        threads.emplace_back(
+            [&, i] { concurrent[i] = repair(dead[i]); });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (std::size_t i = 0; i < dead.size(); ++i) {
+        EXPECT_EQ(concurrent[i].viaIlp, serial[i].viaIlp);
+        EXPECT_EQ(concurrent[i].resolvedClusters,
+                  serial[i].resolvedClusters);
+        expectBitIdentical(concurrent[i].schedule, serial[i].schedule);
+    }
+}
+
 TEST(SchedScale, GreedyRepairShedsDeadWorkAt64)
 {
     const Scheduler scheduler(clusteredConfig(64, 8));
@@ -204,7 +285,7 @@ TEST(SchedScale, GreedyRepairShedsDeadWorkAt64)
 
     const std::vector<std::size_t> dead{3, 12, 40};
     const Schedule repaired =
-        scheduler.greedyRepair(flows, original, dead);
+        scheduler.greedyRepair(flows, kPriorities, original, dead);
     ASSERT_TRUE(repaired.feasible);
     for (const FlowAllocation &alloc : repaired.flows) {
         for (const std::size_t n : dead)
