@@ -27,6 +27,9 @@ Build-context checks (the keys gbench_main.cpp stamps):
    report-only for that run and a note is printed. This keeps the
    enforced gate green on forced-scalar CI builds without masking
    regressions on the matching-mode path.
+ - When the two dumps record different num_cpus, a note with both
+   counts is printed: the host changed, so a timing difference may be
+   the machine rather than the code. Enforcement is unchanged.
 
     ci/compare_bench.py BENCH_kernels.json fresh.json \
         --tolerance 0.25 --enforce ci/bench_gate.json --require-release
@@ -133,6 +136,17 @@ def main():
         )
         enforced = set()
         args.strict = False
+
+    # A different core count means a different host: say so, so a
+    # REGRESSED row is not read as the code's doing. Enforcement stays.
+    base_cpus = base_ctx.get("num_cpus")
+    curr_cpus = curr_ctx.get("num_cpus")
+    if base_cpus != curr_cpus:
+        print(
+            f"NOTE: baseline was recorded with num_cpus={base_cpus}, "
+            f"current with num_cpus={curr_cpus}: different hosts, so "
+            f"timing differences may reflect the machine, not the code"
+        )
 
     regressed, improved, failing = [], [], []
     print(

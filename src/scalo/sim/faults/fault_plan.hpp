@@ -148,12 +148,14 @@ struct FaultPlan
     }
 
     /**
-     * Contract-check the plan against a system of @p nodes nodes:
-     * node indices in range, intervals well-formed, probabilities in
-     * [0, 1], slowdowns >= 1. When @p clusters is non-zero the
-     * cluster-level faults' cluster indices are checked against it
-     * too (callers that know their ClusterPlan pass its count).
-     * Violations trip SCALO_EXPECTS.
+     * Check the plan against a system of @p nodes nodes: node indices
+     * in range, instants non-negative, intervals well-formed,
+     * probabilities and BERs in [0, 1], slowdowns >= 1. When
+     * @p clusters is non-zero the cluster-level faults' cluster
+     * indices are checked against it too (callers that know their
+     * ClusterPlan pass its count). In every build type, a violation
+     * throws std::invalid_argument naming the list and the index of
+     * the offending entry.
      */
     void validate(std::size_t nodes, std::size_t clusters = 0) const;
 };

@@ -12,8 +12,8 @@
  *
  * Every stage entry/exit, completion, and drop is recorded into an
  * optional `sim::Trace`; per-flow accounting (latencies, busy time,
- * completions) accumulates on the model for the scenario layers
- * (`pipeline_sim`, `SystemSim`) to summarise.
+ * completions) accumulates on the model for `SystemSim` (and the
+ * single-pipeline tests) to summarise.
  */
 
 #pragma once
@@ -79,8 +79,8 @@ class NodeModel
 
     /**
      * Abandon windows still waiting for the first stage after
-     * @p backlog (0, the default, never drops — the legacy
-     * `pipeline_sim` semantics where backlogs grow without bound).
+     * @p backlog (0, the default, never drops: an oversubscribed
+     * stage's backlog grows without bound).
      */
     void setDropBacklog(std::size_t flow, units::Millis backlog);
 
@@ -135,7 +135,7 @@ class NodeModel
     /**
      * Busy-time energy of a flow: each stage's Table 1 power at its
      * electrode count, integrated over the time the stage was serving
-     * (the legacy `pipeline_sim` energy model).
+     * (the Figure 7 pipeline energy model).
      */
     units::Millijoules stageEnergy(std::size_t flow) const;
 

@@ -44,6 +44,116 @@ payloadFor(const sched::NetworkUse &net, double e)
 
 } // namespace
 
+/** Radio traffic of one flow on one medium. */
+struct SystemSim::TxCounters
+{
+    std::uint64_t packetsSent = 0;
+    std::uint64_t packetsCorrupted = 0;
+    std::uint64_t retransmissions = 0;
+    /** Fragments abandoned after the retry budget was exhausted. */
+    std::uint64_t packetsLost = 0;
+
+    TxCounters &
+    operator+=(const TxCounters &other)
+    {
+        packetsSent += other.packetsSent;
+        packetsCorrupted += other.packetsCorrupted;
+        retransmissions += other.retransmissions;
+        packetsLost += other.packetsLost;
+        return *this;
+    }
+};
+
+/**
+ * The windows of one flow that one execution domain (a cluster, or
+ * the backbone) completed: response times and, for networked flows,
+ * the exchange-round spans.
+ */
+struct SystemSim::Completions
+{
+    std::size_t count = 0;
+    std::uint64_t responseSumUs = 0;
+    std::uint64_t maxResponseUs = 0;
+    std::uint64_t firstResponseUs = 0;
+    std::uint64_t lastResponseUs = 0;
+    /** When the first and the last completion happened. */
+    std::uint64_t firstTick = 0;
+    std::uint64_t lastTick = 0;
+    std::uint64_t roundSumUs = 0;
+    std::uint64_t maxRoundUs = 0;
+    std::size_t roundCount = 0;
+
+    /** A window completed at @p tick, @p response_us after arrival. */
+    void
+    record(std::uint64_t response_us, std::uint64_t tick)
+    {
+        if (count == 0) {
+            firstResponseUs = response_us;
+            firstTick = tick;
+        }
+        lastResponseUs = response_us;
+        lastTick = tick;
+        maxResponseUs = std::max(maxResponseUs, response_us);
+        responseSumUs += response_us;
+        ++count;
+    }
+
+    /** An exchange round spanning [@p start, @p end] completed the
+     *  window that arrived at @p arrival. */
+    void
+    recordRound(std::uint64_t start, std::uint64_t end,
+                std::uint64_t arrival)
+    {
+        const std::uint64_t round_us = end - start;
+        roundSumUs += round_us;
+        maxRoundUs = std::max(maxRoundUs, round_us);
+        ++roundCount;
+        record(end - arrival, end);
+    }
+
+    /**
+     * Fold in another domain's completions. The earliest first
+     * completion wins (a tie keeps the domain folded in earlier); the
+     * latest last completion wins (a tie goes to @p other).
+     */
+    void
+    merge(const Completions &other)
+    {
+        if (other.count == 0)
+            return;
+        if (count == 0 || other.firstTick < firstTick) {
+            firstResponseUs = other.firstResponseUs;
+            firstTick = other.firstTick;
+        }
+        if (count == 0 || other.lastTick >= lastTick) {
+            lastResponseUs = other.lastResponseUs;
+            lastTick = other.lastTick;
+        }
+        count += other.count;
+        responseSumUs += other.responseSumUs;
+        maxResponseUs = std::max(maxResponseUs, other.maxResponseUs);
+        roundSumUs += other.roundSumUs;
+        maxRoundUs = std::max(maxRoundUs, other.maxRoundUs);
+        roundCount += other.roundCount;
+    }
+};
+
+/** What differs between an intra-cluster and a backbone slot. */
+struct SystemSim::TxLink
+{
+    net::WirelessChannel &channel;
+    Rng &backoffRng;
+    std::uint16_t &sequence;
+    Trace &trace;
+    /** Pseudo-node of the medium (receiver-side trace events). */
+    std::uint32_t mediumId;
+    std::uint8_t destination;
+    std::uint32_t timestampUs;
+    /** The injector's BER override for this medium (< 0: none). */
+    double (FaultInjector::*berOverrideAt)(units::Micros) const;
+    TxCounters &counters;
+};
+
 /** Per-flow execution state threaded through the run. */
 struct SystemSim::FlowRuntime
 {
@@ -68,21 +178,11 @@ struct SystemSim::FlowRuntime
     net::PacketType packetType = net::PacketType::Hash;
 
     // Coordinator-side accumulators. On a clustered fabric the
-    // backbone rounds fill the response/round stats; per-cluster
+    // backbone rounds complete networked flows; per-cluster
     // contributions are folded in by mergeClusterStats().
     std::size_t submitted = 0;
-    std::size_t completed = 0;
-    std::uint64_t responseSumUs = 0;
-    std::uint64_t maxResponseUs = 0;
-    std::uint64_t firstResponseUs = 0;
-    std::uint64_t lastResponseUs = 0;
-    std::uint64_t roundSumUs = 0;
-    std::uint64_t maxRoundUs = 0;
-    std::size_t roundCount = 0;
-    std::uint64_t packetsSent = 0;
-    std::uint64_t packetsCorrupted = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t packetsLost = 0;
+    Completions done;
+    TxCounters tx;
     std::uint64_t relayForwards = 0;
 
     // Static predictions.
@@ -113,23 +213,11 @@ struct SystemSim::ClusterFlow
     };
     std::map<std::uint64_t, RoundState> rounds;
 
-    // Cluster-local accumulators, merged after the run. The response
-    // stats are only filled where the cluster is the point of
-    // completion: local flows, and networked flows on the flat fabric.
-    std::size_t completed = 0;
-    std::uint64_t responseSumUs = 0;
-    std::uint64_t maxResponseUs = 0;
-    std::uint64_t firstResponseUs = 0;
-    std::uint64_t lastResponseUs = 0;
-    std::uint64_t firstTick = 0;
-    std::uint64_t lastTick = 0;
-    std::uint64_t roundSumUs = 0;
-    std::uint64_t maxRoundUs = 0;
-    std::size_t roundCount = 0;
-    std::uint64_t packetsSent = 0;
-    std::uint64_t packetsCorrupted = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t packetsLost = 0;
+    // Cluster-local accumulators, merged after the run. Completions
+    // are only filled where the cluster is the point of completion:
+    // local flows, and networked flows on a one-cluster fabric.
+    Completions done;
+    TxCounters tx;
 };
 
 /** A relay node's aggregated round, queued for the backbone. */
@@ -198,6 +286,17 @@ struct SystemSim::Cluster
     bool restitchNeeded = false;
     /** Latest tick of the event that set restitchNeeded. */
     std::uint64_t restitchTick = 0;
+
+    /** Some sender of @p flow here is not declared dead. */
+    bool
+    hasLiveSender(std::size_t flow) const
+    {
+        return std::any_of(flows[flow].senders.begin(),
+                           flows[flow].senders.end(),
+                           [this](std::size_t s) {
+                               return !detector.dead(s);
+                           });
+    }
 };
 
 SystemSim::SystemSim(SystemSimConfig cfg)
@@ -356,7 +455,6 @@ SystemSim::SystemSim(SystemSimConfig cfg)
                                  tdma.slotTime(rt.payloadBytes[n]))
                                  .count();
                 }
-                cf.liveTotalElectrodes = cluster_total;
                 widest_intra = std::max(widest_intra, intra);
                 if (cluster_count > 1 && !cf.senders.empty())
                     backbone +=
@@ -370,19 +468,13 @@ SystemSim::SystemSim(SystemSimConfig cfg)
             backboneChannels[f].emplace(
                 *config.system.radio,
                 mix64(config.seed, kBackboneChannelSalt + f));
-        } else {
-            for (std::size_t c = 0; c < cluster_count; ++c) {
-                ClusterFlow &cf = clusters[c]->flows[f];
-                double cluster_total = 0.0;
-                for (std::size_t n : clusters[c]->members)
-                    cluster_total += alloc.electrodesPerNode[n];
-                cf.liveTotalElectrodes = cluster_total;
-            }
         }
         for (std::size_t n : rt.participants)
             if (!nodes[n].analyticallySustainable(rt.flowOnNode[n]))
                 rt.analyticSustainable = false;
     }
+    for (const std::unique_ptr<Cluster> &cl : clusters)
+        refreshClusterAllocation(*cl);
 }
 
 SystemSim::~SystemSim() = default;
@@ -477,18 +569,8 @@ SystemSim::accountWindow(Cluster &cluster, std::size_t flow,
         return; // non-sender local work is power only
 
     // Local flow: the node-level completion is the response.
-    const std::uint64_t arrival = window_id * rt.windowTicks;
-    const std::uint64_t ticks = cluster.sim.ticks();
-    const std::uint64_t response = ticks - arrival;
-    if (cf.completed == 0) {
-        cf.firstResponseUs = response;
-        cf.firstTick = ticks;
-    }
-    cf.lastResponseUs = response;
-    cf.lastTick = ticks;
-    cf.maxResponseUs = std::max(cf.maxResponseUs, response);
-    cf.responseSumUs += response;
-    ++cf.completed;
+    cf.done.record(cluster.sim.ticks() - window_id * rt.windowTicks,
+                   cluster.sim.ticks());
 }
 
 void
@@ -516,7 +598,6 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
     FlowRuntime &rt = flowRuntimes[flow];
     ClusterFlow &cf = cluster.flows[flow];
     const sched::FlowSpec &spec = config.flows[flow];
-    const net::RadioSpec &radio = *config.system.radio;
     const auto lane = static_cast<std::uint32_t>(flow + 1);
 
     ClusterFlow::RoundState &round = cf.rounds[window_id];
@@ -549,99 +630,20 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
                          cluster.mediumId, lane, spec.name,
                          window_id);
 
+    const TxLink link{*cf.channel,
+                      cluster.backoffRng,
+                      cf.nextSequence,
+                      cluster.trace,
+                      cluster.mediumId,
+                      spec.network->pattern == net::Pattern::AllToOne
+                          ? std::uint8_t{0}
+                          : net::kBroadcast,
+                      static_cast<std::uint32_t>(cluster.sim.ticks()),
+                      &FaultInjector::berOverrideAt,
+                      cf.tx};
     double cursor = static_cast<double>(start);
-    for (std::size_t n : transmitting) {
-        net::Packet packet;
-        packet.source = static_cast<std::uint8_t>(n);
-        packet.destination =
-            spec.network->pattern == net::Pattern::AllToOne
-                ? std::uint8_t{0}
-                : net::kBroadcast;
-        packet.type = rt.packetType;
-        packet.timestampUs =
-            static_cast<std::uint32_t>(cluster.sim.ticks());
-        packet.payload.resize(rt.payloadBytes[n]);
-        for (std::size_t i = 0; i < packet.payload.size(); ++i)
-            packet.payload[i] =
-                static_cast<std::uint8_t>((i * 31 + n) & 0xff);
-        for (net::Packet &fragment : net::fragment(packet)) {
-            fragment.sequence = cf.nextSequence++;
-            const units::Micros wire_time{
-                radio
-                    .transferTime(units::Bytes{static_cast<double>(
-                        fragment.wireBytes())})
-                    .in<units::Micros>()};
-            bool delivered = false;
-            for (std::size_t attempt = 0;
-                 attempt < config.retry.maxAttempts; ++attempt) {
-                if (attempt > 0) {
-                    // Exponential backoff with seeded jitter before
-                    // each retry; the retry's radio energy is real
-                    // and lands on the sender (the scheduler only
-                    // provisioned the always-on radio budget).
-                    cursor += config.retry
-                                  .backoff(attempt,
-                                           cluster.backoffRng)
-                                  .count();
-                    dynamicEnergyUj[n] +=
-                        radio
-                            .transferEnergy(units::Bytes{
-                                static_cast<double>(
-                                    fragment.wireBytes())})
-                            .count() *
-                        1e3;
-                }
-                // Channel condition at this instant: dropout windows
-                // lose everything, BER spikes raise the error rate.
-                const units::Micros at{cursor};
-                const double spike = injector.berOverrideAt(at);
-                cf.channel->setBer(spike >= 0.0 ? spike : radio.ber);
-                cf.channel->setOutage(injector.inDropout(at));
-                ++cf.packetsSent;
-                cluster.trace.record(
-                    units::Micros{cursor}, TraceEventKind::PacketTx,
-                    static_cast<std::uint32_t>(n), 0,
-                    std::string(spec.name), fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-                const net::ReceiveResult receipt =
-                    cf.channel->transmit(fragment);
-                cursor += wire_time.count();
-                const bool corrupt =
-                    !receipt.headerOk || !receipt.payloadOk;
-                if (corrupt) {
-                    ++cf.packetsCorrupted;
-                    cluster.trace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketCorrupt,
-                        cluster.mediumId, lane,
-                        std::string(spec.name), fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                }
-                if (receipt.accepted()) {
-                    cluster.trace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketRx, cluster.mediumId,
-                        lane, std::string(spec.name),
-                        fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                    delivered = true;
-                    break;
-                }
-                if (!config.retry.shouldRetry(attempt))
-                    break;
-                ++cf.retransmissions;
-                cluster.trace.record(
-                    units::Micros{cursor},
-                    TraceEventKind::PacketRetransmit,
-                    static_cast<std::uint32_t>(n), 0,
-                    std::string(spec.name), fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-            }
-            if (!delivered)
-                ++cf.packetsLost;
-        }
-        cursor += kGuard.count();
-    }
+    for (const std::size_t n : transmitting)
+        cursor = transmit(link, flow, n, rt.payloadBytes[n], cursor);
 
     const std::uint64_t end = toTicks(units::Micros{cursor});
     cluster.medium.release(end);
@@ -653,51 +655,13 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
     if (transmitting.empty())
         return; // nobody had data: no response to account
 
-    if (clusters.size() == 1) {
-        // Flat fabric: the intra round IS the whole exchange.
-        const std::uint64_t roundUs = end - start;
-        cf.roundSumUs += roundUs;
-        cf.maxRoundUs = std::max(cf.maxRoundUs, roundUs);
-        ++cf.roundCount;
-
-        const std::uint64_t arrival = window_id * rt.windowTicks;
-        const std::uint64_t response = end - arrival;
-        if (cf.completed == 0) {
-            cf.firstResponseUs = response;
-            cf.firstTick = end;
-        }
-        cf.lastResponseUs = response;
-        cf.lastTick = end;
-        cf.maxResponseUs = std::max(cf.maxResponseUs, response);
-        cf.responseSumUs += response;
-        ++cf.completed;
-
-        // Exact-compare flows: each node checks every window it
-        // received against its local history; the scheduler charges
-        // that power to the receivers, one window's worth per
-        // exchange. Physically-down nodes receive (and burn) nothing.
-        if (rt.exactCompare) {
-            const double total =
-                liveSchedule.flows[flow].totalElectrodes;
-            for (std::size_t n = 0; n < nodes.size(); ++n) {
-                if (!nodeUp[n])
-                    continue;
-                const double e =
-                    liveSchedule.flows[flow].electrodesPerNode[n];
-                dynamicEnergyUj[n] += spec.linPerElectrode.count() *
-                                      (total - e) *
-                                      spec.window.count();
-            }
-        }
-        return;
-    }
-
-    // Clustered fabric: members compare against cluster-local
-    // history; the relay queues the cluster's aggregate for the
-    // backbone, where the round (and the flow's response) completes.
+    // Exact-compare flows: each member checks every window it
+    // received against its cluster-local history; the scheduler
+    // charges that power to the receivers, one window's worth per
+    // exchange. Physically-down nodes receive (and burn) nothing.
     if (rt.exactCompare) {
         const double total = cf.liveTotalElectrodes;
-        for (std::size_t n : cluster.members) {
+        for (const std::size_t n : cluster.members) {
             if (!nodeUp[n])
                 continue;
             const double e =
@@ -707,6 +671,15 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
         }
     }
 
+    if (clusters.size() == 1) {
+        // One-cluster fabric: the intra round IS the whole exchange.
+        cf.done.recordRound(start, end, window_id * rt.windowTicks);
+        return;
+    }
+
+    // Clustered fabric: the relay queues the cluster's aggregate for
+    // the backbone, where the round (and the flow's response)
+    // completes.
     RelayPacket forward;
     forward.flow = flow;
     forward.window = window_id;
@@ -739,6 +712,88 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
                          lane, spec.name, window_id,
                          static_cast<double>(forward.bytes));
     cluster.outbox.push_back(forward);
+}
+
+double
+SystemSim::transmit(const TxLink &link, std::size_t flow,
+                    std::size_t source, std::size_t bytes,
+                    double cursor)
+{
+    const std::string &name = config.flows[flow].name;
+    const net::RadioSpec &radio = *config.system.radio;
+    const auto lane = static_cast<std::uint32_t>(flow + 1);
+    const auto sender = static_cast<std::uint32_t>(source);
+
+    net::Packet packet;
+    packet.source = static_cast<std::uint8_t>(source);
+    packet.destination = link.destination;
+    packet.type = flowRuntimes[flow].packetType;
+    packet.timestampUs = link.timestampUs;
+    packet.payload.resize(bytes);
+    for (std::size_t i = 0; i < packet.payload.size(); ++i)
+        packet.payload[i] =
+            static_cast<std::uint8_t>((i * 31 + source) & 0xff);
+    for (net::Packet &fragment : net::fragment(packet)) {
+        fragment.sequence = link.sequence++;
+        const auto wire_bytes =
+            static_cast<double>(fragment.wireBytes());
+        const units::Micros wire_time{
+            radio.transferTime(units::Bytes{wire_bytes})
+                .in<units::Micros>()};
+        bool delivered = false;
+        for (std::size_t attempt = 0;
+             attempt < config.retry.maxAttempts; ++attempt) {
+            if (attempt > 0) {
+                // Exponential backoff with seeded jitter before each
+                // retry; the retry's radio energy is real and lands
+                // on the sender (the scheduler only provisioned the
+                // always-on radio budget).
+                cursor +=
+                    config.retry.backoff(attempt, link.backoffRng)
+                        .count();
+                dynamicEnergyUj[source] +=
+                    radio.transferEnergy(units::Bytes{wire_bytes})
+                        .count() *
+                    1e3;
+            }
+            // Channel condition at this instant: dropout windows lose
+            // everything, BER spikes raise the error rate.
+            const units::Micros at{cursor};
+            const double spike = (injector.*link.berOverrideAt)(at);
+            link.channel.setBer(spike >= 0.0 ? spike : radio.ber);
+            link.channel.setOutage(injector.inDropout(at));
+            ++link.counters.packetsSent;
+            link.trace.record(at, TraceEventKind::PacketTx, sender, 0,
+                              name, fragment.sequence, wire_bytes);
+            const net::ReceiveResult receipt =
+                link.channel.transmit(fragment);
+            cursor += wire_time.count();
+            if (!receipt.headerOk || !receipt.payloadOk) {
+                ++link.counters.packetsCorrupted;
+                link.trace.record(units::Micros{cursor},
+                                  TraceEventKind::PacketCorrupt,
+                                  link.mediumId, lane, name,
+                                  fragment.sequence, wire_bytes);
+            }
+            if (receipt.accepted()) {
+                link.trace.record(units::Micros{cursor},
+                                  TraceEventKind::PacketRx,
+                                  link.mediumId, lane, name,
+                                  fragment.sequence, wire_bytes);
+                delivered = true;
+                break;
+            }
+            if (!config.retry.shouldRetry(attempt))
+                break;
+            ++link.counters.retransmissions;
+            link.trace.record(units::Micros{cursor},
+                              TraceEventKind::PacketRetransmit, sender,
+                              0, name, fragment.sequence, wire_bytes);
+        }
+        if (!delivered)
+            ++link.counters.packetsLost;
+    }
+    return cursor + kGuard.count();
 }
 
 void
@@ -845,64 +900,65 @@ SystemSim::refreshClusterAllocation(Cluster &cluster)
 }
 
 void
+SystemSim::setNodeUp(Cluster &cluster, std::size_t node, bool up,
+                     units::Millis crash_at, const char *what,
+                     std::uint64_t id)
+{
+    if ((nodeUp[node] != 0) == up)
+        return; // already in that state
+    nodeUp[node] = up ? 1 : 0;
+    if (up) {
+        nodes[node].resume();
+    } else {
+        crashedAtMs[node] = crash_at.count();
+        nodes[node].halt();
+    }
+    cluster.trace.record(cluster.sim.now(),
+                         TraceEventKind::FaultInjected,
+                         static_cast<std::uint32_t>(node), 0, what, id);
+}
+
+void
+SystemSim::markFault(units::Millis at, std::uint32_t medium,
+                     const char *what, std::uint64_t id, double value)
+{
+    // Fabric-wide markers live on cluster 0's queue: the injector
+    // applies the faults themselves to every medium regardless, and
+    // these markers just put the instants on the trace.
+    Cluster *front = clusters.front().get();
+    front->sim.at(units::Micros(at),
+                  [front, medium, what, id, value] {
+                      front->trace.record(
+                          front->sim.now(),
+                          TraceEventKind::FaultInjected, medium, 0,
+                          what, id, value);
+                  });
+}
+
+void
 SystemSim::scheduleFaultEvents()
 {
     for (const NodeCrashFault &crash : config.faults.crashes) {
         Cluster *cl = clusters[plan.clusterOf(crash.node)].get();
         cl->sim.at(units::Micros(crash.at), [this, cl, crash] {
-            if (!nodeUp[crash.node])
-                return; // already down
-            nodeUp[crash.node] = 0;
-            crashedAtMs[crash.node] = crash.at.count();
-            nodes[crash.node].halt();
-            cl->trace.record(cl->sim.now(),
-                             TraceEventKind::FaultInjected,
-                             crash.node, 0, "crash", 0);
+            setNodeUp(*cl, crash.node, false, crash.at, "crash", 0);
         });
+        // The node rejoins silently; its next completed window puts
+        // it back into a round, where being heard declares the
+        // recovery.
         if (crash.reboots())
-            cl->sim.at(units::Micros(crash.rebootAt),
-                       [this, cl, crash] {
-                           if (nodeUp[crash.node])
-                               return;
-                           nodeUp[crash.node] = 1;
-                           nodes[crash.node].resume();
-                           // The node rejoins silently; its next
-                           // completed window puts it back into a
-                           // round, where being heard declares the
-                           // recovery.
-                           cl->trace.record(
-                               cl->sim.now(),
-                               TraceEventKind::FaultInjected,
-                               crash.node, 0, "reboot", 0);
-                       });
+            cl->sim.at(units::Micros(crash.rebootAt), [this, cl, crash] {
+                setNodeUp(*cl, crash.node, true, crash.at, "reboot", 0);
+            });
     }
-    // Channel-condition markers live on cluster 0's queue (the
-    // injector applies them to every cluster's channel regardless).
-    Cluster *front = clusters.front().get();
     for (std::size_t i = 0; i < config.faults.dropouts.size(); ++i) {
         const RadioDropoutFault &drop = config.faults.dropouts[i];
-        front->sim.at(units::Micros(drop.from),
-                      [this, front, i, drop] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kNetworkNode, 0,
-                              "radio-dropout", i,
-                              (drop.to - drop.from).count());
-                      });
+        markFault(drop.from, Trace::kNetworkNode, "radio-dropout", i,
+                  (drop.to - drop.from).count());
     }
-    for (std::size_t i = 0; i < config.faults.berSpikes.size();
-         ++i) {
-        const BerSpikeFault &spike = config.faults.berSpikes[i];
-        front->sim.at(units::Micros(spike.from),
-                      [this, front, i, spike] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kNetworkNode, 0, "ber-spike", i,
-                              spike.ber);
-                      });
-    }
+    for (std::size_t i = 0; i < config.faults.berSpikes.size(); ++i)
+        markFault(config.faults.berSpikes[i].from, Trace::kNetworkNode,
+                  "ber-spike", i, config.faults.berSpikes[i].ber);
     // Relay crashes target the *role*: the victim is whoever holds
     // relay duty at the crash instant, resolved on the owning
     // cluster's queue (so it composes with earlier crashes that
@@ -918,70 +974,34 @@ SystemSim::scheduleFaultEvents()
             if (victim == net::ClusterPlan::kNoRelay)
                 return; // the whole cluster is already down
             relayCrashVictims[i] = victim;
-            nodeUp[victim] = 0;
-            crashedAtMs[victim] = crash.at.count();
-            nodes[victim].halt();
-            cl->trace.record(cl->sim.now(),
-                             TraceEventKind::FaultInjected,
-                             static_cast<std::uint32_t>(victim), 0,
-                             "relay-crash", i);
+            setNodeUp(*cl, victim, false, crash.at, "relay-crash", i);
         });
         if (crash.reboots())
-            cl->sim.at(units::Micros(crash.rebootAt),
-                       [this, cl, i] {
-                           const std::size_t victim =
-                               relayCrashVictims[i];
-                           if (victim == net::ClusterPlan::kNoRelay ||
-                               nodeUp[victim])
-                               return;
-                           nodeUp[victim] = 1;
-                           nodes[victim].resume();
-                           cl->trace.record(
-                               cl->sim.now(),
-                               TraceEventKind::FaultInjected,
-                               static_cast<std::uint32_t>(victim), 0,
-                               "relay-reboot", i);
-                       });
+            cl->sim.at(units::Micros(crash.rebootAt), [this, cl, i,
+                                                       crash] {
+                if (relayCrashVictims[i] != net::ClusterPlan::kNoRelay)
+                    setNodeUp(*cl, relayCrashVictims[i], true,
+                              crash.at, "relay-reboot", i);
+            });
     }
     // Partition windows and backbone BER spikes are injected by the
     // coordinator (processBackbone / runBackboneRound consult the
-    // injector); these markers just put the instants on the trace.
+    // injector).
     for (std::size_t i = 0; i < config.faults.partitions.size();
          ++i) {
         const ClusterPartitionFault &part =
             config.faults.partitions[i];
-        front->sim.at(units::Micros(part.from),
-                      [this, front, i, part] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kBackboneNode, 0,
-                              "cluster-partition", i,
-                              static_cast<double>(part.cluster));
-                      });
-        front->sim.at(units::Micros(part.to),
-                      [this, front, i, part] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kBackboneNode, 0,
-                              "cluster-partition-heal", i,
-                              static_cast<double>(part.cluster));
-                      });
+        markFault(part.from, Trace::kBackboneNode, "cluster-partition",
+                  i, static_cast<double>(part.cluster));
+        markFault(part.to, Trace::kBackboneNode,
+                  "cluster-partition-heal", i,
+                  static_cast<double>(part.cluster));
     }
     for (std::size_t i = 0;
-         i < config.faults.backboneBerSpikes.size(); ++i) {
-        const BackboneBerSpikeFault &spike =
-            config.faults.backboneBerSpikes[i];
-        front->sim.at(units::Micros(spike.from),
-                      [this, front, i, spike] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kBackboneNode, 0,
-                              "backbone-ber-spike", i, spike.ber);
-                      });
-    }
+         i < config.faults.backboneBerSpikes.size(); ++i)
+        markFault(config.faults.backboneBerSpikes[i].from,
+                  Trace::kBackboneNode, "backbone-ber-spike", i,
+                  config.faults.backboneBerSpikes[i].ber);
     for (const ThermalThrottleFault &throttle :
          config.faults.throttles) {
         Cluster *cl = clusters[plan.clusterOf(throttle.node)].get();
@@ -1061,16 +1081,9 @@ SystemSim::processBackbone(std::uint64_t upto_ticks)
         // backbone detector has not declared partitioned (a silent
         // cluster must not stall every round until its deadline).
         std::size_t expected = 0;
-        for (const std::unique_ptr<Cluster> &cl : clusters) {
-            if (backboneDetector.dead(cl->id))
-                continue;
-            const ClusterFlow &cf = cl->flows[f];
-            for (std::size_t s : cf.senders)
-                if (!cl->detector.dead(s)) {
-                    ++expected;
-                    break;
-                }
-        }
+        for (const std::unique_ptr<Cluster> &cl : clusters)
+            if (!backboneDetector.dead(cl->id) && cl->hasLiveSender(f))
+                ++expected;
         if (round.entries.size() >= expected) {
             runnable.push_back({round.maxReadyTick, f, w, false});
         } else if (round.firstReadyTick + rt.deadlineTicks <=
@@ -1091,7 +1104,7 @@ SystemSim::processBackbone(std::uint64_t upto_ticks)
               });
     for (const Runnable &r : runnable) {
         const auto key = std::make_pair(r.flow, r.window);
-        runBackboneRound(r.flow, r.window, pendingRounds[key],
+        runBackboneRound(r.flow, r.window, pendingRounds[key], r.at,
                          r.timedOut);
         pendingRounds.erase(key);
     }
@@ -1105,11 +1118,11 @@ SystemSim::processBackbone(std::uint64_t upto_ticks)
 void
 SystemSim::runBackboneRound(std::size_t flow,
                             std::uint64_t window_id,
-                            BackboneRound &round, bool timed_out)
+                            BackboneRound &round, std::uint64_t at,
+                            bool timed_out)
 {
     FlowRuntime &rt = flowRuntimes[flow];
     const sched::FlowSpec &spec = config.flows[flow];
-    const net::RadioSpec &radio = *config.system.radio;
     const auto lane = static_cast<std::uint32_t>(flow + 1);
     if (round.entries.empty())
         return;
@@ -1118,10 +1131,6 @@ SystemSim::runBackboneRound(std::size_t flow,
               [](const RelayPacket &a, const RelayPacket &b) {
                   return a.cluster < b.cluster;
               });
-    const std::uint64_t at =
-        timed_out ? std::max(round.maxReadyTick,
-                             round.firstReadyTick + rt.deadlineTicks)
-                  : round.maxReadyTick;
     const std::uint64_t start = backboneMedium.acquire(at);
     globalTrace.record(units::Micros{static_cast<double>(start)},
                        TraceEventKind::BackboneStart,
@@ -1141,6 +1150,22 @@ SystemSim::runBackboneRound(std::size_t flow,
     // (miss). Crossing the miss threshold declares the cluster
     // partitioned; being heard again declares the heal. Either
     // transition asks for a re-stitch at the barrier.
+    const units::Micros start_us{static_cast<double>(start)};
+    const auto transition = [&](std::size_t cluster, bool healed) {
+        globalTrace.record(
+            start_us,
+            healed ? TraceEventKind::PartitionHealed
+                   : TraceEventKind::PartitionStart,
+            Trace::kBackboneNode, 0,
+            healed ? "partition-healed" : "partition-start", cluster,
+            healed ? 0.0
+                   : static_cast<double>(
+                         backboneDetector.consecutiveMisses(cluster)));
+        partitionEvents.push_back(
+            {cluster, units::Millis(start_us), healed});
+        backboneRestitchPending = true;
+        restitchTickHint = std::max(restitchTickHint, start);
+    };
     for (const std::unique_ptr<Cluster> &cl : clusters) {
         const bool present = std::any_of(
             round.entries.begin(), round.entries.end(),
@@ -1148,134 +1173,29 @@ SystemSim::runBackboneRound(std::size_t flow,
                 return p.cluster == cl->id;
             });
         if (present) {
-            if (backboneDetector.recordHeard(cl->id)) {
-                globalTrace.record(
-                    units::Micros{static_cast<double>(start)},
-                    TraceEventKind::PartitionHealed,
-                    Trace::kBackboneNode, 0, "partition-healed",
-                    cl->id);
-                partitionEvents.push_back(
-                    {cl->id,
-                     units::Millis(units::Micros{
-                         static_cast<double>(start)}),
-                     true});
-                backboneRestitchPending = true;
-                restitchTickHint =
-                    std::max(restitchTickHint, start);
-            }
-            continue;
-        }
-        bool alive_sender = false;
-        for (const std::size_t s : cl->flows[flow].senders)
-            if (!cl->detector.dead(s)) {
-                alive_sender = true;
-                break;
-            }
-        if (!alive_sender || backboneDetector.dead(cl->id))
-            continue; // silence is expected (or already declared)
-        if (backboneDetector.recordMiss(cl->id)) {
-            globalTrace.record(
-                units::Micros{static_cast<double>(start)},
-                TraceEventKind::PartitionStart,
-                Trace::kBackboneNode, 0, "partition-start", cl->id,
-                static_cast<double>(
-                    backboneDetector.consecutiveMisses(cl->id)));
-            partitionEvents.push_back(
-                {cl->id,
-                 units::Millis(
-                     units::Micros{static_cast<double>(start)}),
-                 false});
-            backboneRestitchPending = true;
-            restitchTickHint = std::max(restitchTickHint, start);
+            if (backboneDetector.recordHeard(cl->id))
+                transition(cl->id, true);
+        } else if (cl->hasLiveSender(flow) &&
+                   !backboneDetector.dead(cl->id) &&
+                   backboneDetector.recordMiss(cl->id)) {
+            // Silence from a cluster without live senders (or one
+            // already declared) is expected and not counted.
+            transition(cl->id, false);
         }
     }
 
+    const TxLink link{*backboneChannels[flow],
+                      backboneBackoffRng,
+                      backboneSequence,
+                      globalTrace,
+                      Trace::kBackboneNode,
+                      net::kBroadcast,
+                      static_cast<std::uint32_t>(start),
+                      &FaultInjector::backboneBerOverrideAt,
+                      rt.tx};
     double cursor = static_cast<double>(start);
-    for (const RelayPacket &entry : round.entries) {
-        net::Packet packet;
-        packet.source = static_cast<std::uint8_t>(entry.relay);
-        packet.destination = net::kBroadcast;
-        packet.type = rt.packetType;
-        packet.timestampUs = static_cast<std::uint32_t>(start);
-        packet.payload.resize(entry.bytes);
-        for (std::size_t i = 0; i < packet.payload.size(); ++i)
-            packet.payload[i] = static_cast<std::uint8_t>(
-                (i * 31 + entry.relay) & 0xff);
-        for (net::Packet &fragment : net::fragment(packet)) {
-            fragment.sequence = backboneSequence++;
-            const units::Micros wire_time{
-                radio
-                    .transferTime(units::Bytes{static_cast<double>(
-                        fragment.wireBytes())})
-                    .in<units::Micros>()};
-            bool delivered = false;
-            for (std::size_t attempt = 0;
-                 attempt < config.retry.maxAttempts; ++attempt) {
-                if (attempt > 0) {
-                    cursor += config.retry
-                                  .backoff(attempt,
-                                           backboneBackoffRng)
-                                  .count();
-                    dynamicEnergyUj[entry.relay] +=
-                        radio
-                            .transferEnergy(units::Bytes{
-                                static_cast<double>(
-                                    fragment.wireBytes())})
-                            .count() *
-                        1e3;
-                }
-                const units::Micros tx_at{cursor};
-                const double spike =
-                    injector.backboneBerOverrideAt(tx_at);
-                backboneChannels[flow]->setBer(
-                    spike >= 0.0 ? spike : radio.ber);
-                backboneChannels[flow]->setOutage(
-                    injector.inDropout(tx_at));
-                ++rt.packetsSent;
-                globalTrace.record(
-                    units::Micros{cursor}, TraceEventKind::PacketTx,
-                    static_cast<std::uint32_t>(entry.relay), 0,
-                    std::string(spec.name), fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-                const net::ReceiveResult receipt =
-                    backboneChannels[flow]->transmit(fragment);
-                cursor += wire_time.count();
-                const bool corrupt =
-                    !receipt.headerOk || !receipt.payloadOk;
-                if (corrupt) {
-                    ++rt.packetsCorrupted;
-                    globalTrace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketCorrupt,
-                        Trace::kBackboneNode, lane,
-                        std::string(spec.name), fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                }
-                if (receipt.accepted()) {
-                    globalTrace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketRx,
-                        Trace::kBackboneNode, lane,
-                        std::string(spec.name), fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                    delivered = true;
-                    break;
-                }
-                if (!config.retry.shouldRetry(attempt))
-                    break;
-                ++rt.retransmissions;
-                globalTrace.record(
-                    units::Micros{cursor},
-                    TraceEventKind::PacketRetransmit,
-                    static_cast<std::uint32_t>(entry.relay), 0,
-                    std::string(spec.name), fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-            }
-            if (!delivered)
-                ++rt.packetsLost;
-        }
-        cursor += kGuard.count();
-    }
+    for (const RelayPacket &entry : round.entries)
+        cursor = transmit(link, flow, entry.relay, entry.bytes, cursor);
 
     const std::uint64_t end = toTicks(units::Micros{cursor});
     backboneMedium.release(end);
@@ -1286,19 +1206,8 @@ SystemSim::runBackboneRound(std::size_t flow,
 
     // The backbone completes the exchange: the round spans the first
     // intra-cluster slot to the backbone's end.
-    const std::uint64_t roundUs = end - round.minStartTick;
-    rt.roundSumUs += roundUs;
-    rt.maxRoundUs = std::max(rt.maxRoundUs, roundUs);
-    ++rt.roundCount;
-
-    const std::uint64_t arrival = window_id * rt.windowTicks;
-    const std::uint64_t response = end - arrival;
-    if (rt.completed == 0)
-        rt.firstResponseUs = response;
-    rt.lastResponseUs = response;
-    rt.maxResponseUs = std::max(rt.maxResponseUs, response);
-    rt.responseSumUs += response;
-    ++rt.completed;
+    rt.done.recordRound(round.minStartTick, end,
+                        window_id * rt.windowTicks);
 
     // Exact-compare on the hierarchy: each relay compares its
     // cluster's history against the remote aggregates it received.
@@ -1379,63 +1288,32 @@ SystemSim::performRestitch(std::uint64_t upto_ticks)
 void
 SystemSim::mergeClusterStats(SystemSimResult &result)
 {
-    for (std::size_t f = 0; f < flowRuntimes.size(); ++f) {
-        FlowRuntime &rt = flowRuntimes[f];
-        bool have_first = rt.completed > 0;
-        std::uint64_t best_first = 0;
-        std::uint64_t best_last = 0;
+    for (std::size_t f = 0; f < flowRuntimes.size(); ++f)
         for (const std::unique_ptr<Cluster> &cl : clusters) {
-            const ClusterFlow &cf = cl->flows[f];
-            rt.packetsSent += cf.packetsSent;
-            rt.packetsCorrupted += cf.packetsCorrupted;
-            rt.retransmissions += cf.retransmissions;
-            rt.packetsLost += cf.packetsLost;
-            if (cf.completed == 0)
-                continue;
-            rt.completed += cf.completed;
-            rt.responseSumUs += cf.responseSumUs;
-            rt.maxResponseUs =
-                std::max(rt.maxResponseUs, cf.maxResponseUs);
-            rt.roundSumUs += cf.roundSumUs;
-            rt.maxRoundUs = std::max(rt.maxRoundUs, cf.maxRoundUs);
-            rt.roundCount += cf.roundCount;
-            if (!have_first || cf.firstTick < best_first) {
-                rt.firstResponseUs = cf.firstResponseUs;
-                best_first = cf.firstTick;
-                have_first = true;
-            }
-            if (cf.lastTick >= best_last) {
-                rt.lastResponseUs = cf.lastResponseUs;
-                best_last = cf.lastTick;
-            }
+            flowRuntimes[f].tx += cl->flows[f].tx;
+            flowRuntimes[f].done.merge(cl->flows[f].done);
         }
-    }
 
-    if (clusters.size() == 1) {
-        result.nodesDown = clusters.front()->downEvents;
-        result.reschedules = clusters.front()->reschedEvents;
-    } else {
-        for (const std::unique_ptr<Cluster> &cl : clusters) {
-            result.nodesDown.insert(result.nodesDown.end(),
-                                    cl->downEvents.begin(),
-                                    cl->downEvents.end());
-            result.reschedules.insert(result.reschedules.end(),
-                                      cl->reschedEvents.begin(),
-                                      cl->reschedEvents.end());
-        }
-        std::stable_sort(result.nodesDown.begin(),
-                         result.nodesDown.end(),
-                         [](const NodeDownEvent &a,
-                            const NodeDownEvent &b) {
-                             return a.detectedAt.count() <
-                                    b.detectedAt.count();
-                         });
-        std::stable_sort(
-            result.reschedules.begin(), result.reschedules.end(),
-            [](const RescheduleEvent &a, const RescheduleEvent &b) {
-                return a.at.count() < b.at.count();
-            });
+    // Each cluster's events are already in time order; the stable
+    // sort interleaves the clusters by detection time.
+    for (const std::unique_ptr<Cluster> &cl : clusters) {
+        result.nodesDown.insert(result.nodesDown.end(),
+                                cl->downEvents.begin(),
+                                cl->downEvents.end());
+        result.reschedules.insert(result.reschedules.end(),
+                                  cl->reschedEvents.begin(),
+                                  cl->reschedEvents.end());
     }
+    std::stable_sort(result.nodesDown.begin(), result.nodesDown.end(),
+                     [](const NodeDownEvent &a, const NodeDownEvent &b) {
+                         return a.detectedAt.count() <
+                                b.detectedAt.count();
+                     });
+    std::stable_sort(
+        result.reschedules.begin(), result.reschedules.end(),
+        [](const RescheduleEvent &a, const RescheduleEvent &b) {
+            return a.at.count() < b.at.count();
+        });
     result.exchangeTimeouts = backboneTimeouts;
     for (const std::unique_ptr<Cluster> &cl : clusters)
         result.exchangeTimeouts += cl->exchangeTimeouts;
@@ -1475,58 +1353,57 @@ SystemSim::run()
     result.duration = config.duration;
     result.clusters = clusters.size();
 
-    if (clusters.size() == 1) {
-        // Flat fabric: one queue, run to quiescence — the original
-        // serial engine, byte for byte.
-        result.eventsExecuted = clusters.front()->sim.run();
+    // Conservative quantum loop: clusters advance independently to
+    // the barrier (clusters only couple through the backbone, which
+    // the coordinator runs between quanta), so any quantum is safe
+    // and serial/parallel execution is byte-identical. A one-cluster
+    // (flat) fabric is the degenerate case: nothing is injected
+    // between its quanta, so its events run in the same order as one
+    // run to quiescence.
+    std::uint64_t quantum = 0;
+    if (config.syncQuantum.count() > 0.0) {
+        quantum = toTicks(units::Micros(config.syncQuantum));
     } else {
-        // Conservative quantum loop: clusters advance independently
-        // to the barrier (clusters only couple through the backbone,
-        // which the coordinator runs between quanta), so any quantum
-        // is safe and serial/parallel execution is byte-identical.
-        std::uint64_t quantum = 0;
-        if (config.syncQuantum.count() > 0.0) {
-            quantum = toTicks(units::Micros(config.syncQuantum));
-        } else {
-            for (const FlowRuntime &rt : flowRuntimes)
-                if (rt.windowTicks > 0 &&
-                    (quantum == 0 || rt.windowTicks < quantum))
-                    quantum = rt.windowTicks;
-            if (quantum == 0)
-                quantum = 1000;
-        }
-        quantum = std::max<std::uint64_t>(quantum, 1);
-
-        util::ThreadPool pool(
-            config.parallel
-                ? (config.threads ? config.threads
-                                  : util::ThreadPool::defaultThreads())
-                : 1);
-        result.ranParallel = pool.size() > 1;
-
-        const auto work_pending = [this] {
-            if (!pendingRounds.empty())
-                return true;
-            for (const std::unique_ptr<Cluster> &cl : clusters)
-                if (cl->sim.pending() > 0 || !cl->outbox.empty())
-                    return true;
-            return false;
-        };
-        std::uint64_t horizon = 0;
-        while (work_pending()) {
-            horizon += quantum;
-            const units::Micros until{
-                static_cast<double>(horizon)};
-            pool.parallelFor(
-                clusters.size(), [this, until](std::size_t c) {
-                    clusters[c]->eventsExecuted +=
-                        clusters[c]->sim.run(until);
-                });
-            processBackbone(horizon);
-        }
-        for (const std::unique_ptr<Cluster> &cl : clusters)
-            result.eventsExecuted += cl->eventsExecuted;
+        for (const FlowRuntime &rt : flowRuntimes)
+            if (rt.windowTicks > 0 &&
+                (quantum == 0 || rt.windowTicks < quantum))
+                quantum = rt.windowTicks;
+        if (quantum == 0)
+            quantum = 1000;
     }
+    quantum = std::max<std::uint64_t>(quantum, 1);
+
+    // More workers than clusters would idle; a one-cluster plan runs
+    // inline.
+    const std::size_t width =
+        config.parallel ? (config.threads
+                               ? config.threads
+                               : util::ThreadPool::defaultThreads())
+                        : 1;
+    util::ThreadPool pool(std::min(width, clusters.size()));
+    result.ranParallel = pool.size() > 1;
+
+    const auto work_pending = [this] {
+        if (!pendingRounds.empty())
+            return true;
+        for (const std::unique_ptr<Cluster> &cl : clusters)
+            if (cl->sim.pending() > 0 || !cl->outbox.empty())
+                return true;
+        return false;
+    };
+    std::uint64_t horizon = 0;
+    while (work_pending()) {
+        horizon += quantum;
+        const units::Micros until{static_cast<double>(horizon)};
+        pool.parallelFor(clusters.size(),
+                         [this, until](std::size_t c) {
+                             clusters[c]->eventsExecuted +=
+                                 clusters[c]->sim.run(until);
+                         });
+        processBackbone(horizon);
+    }
+    for (const std::unique_ptr<Cluster> &cl : clusters)
+        result.eventsExecuted += cl->eventsExecuted;
 
     // Merge the per-cluster traces in cluster order, then the
     // coordinator's backbone trace: a fixed order, so the combined
@@ -1577,57 +1454,56 @@ SystemSim::run()
     }
     for (std::size_t c = 0; c < clusters.size(); ++c)
         result.network += eventTrace.counters(Trace::mediumNode(c));
-    if (clusters.size() > 1)
-        result.network +=
-            eventTrace.counters(Trace::kBackboneNode);
+    result.network += eventTrace.counters(Trace::kBackboneNode);
 
     mergeClusterStats(result);
 
     for (std::size_t f = 0; f < flowRuntimes.size(); ++f) {
         const FlowRuntime &rt = flowRuntimes[f];
+        const Completions &done = rt.done;
         FlowSimStats stats;
         stats.flow = config.flows[f].name;
         stats.windowsSubmitted = rt.submitted;
-        stats.windowsCompleted = rt.completed;
+        stats.windowsCompleted = done.count;
         // Node-level drops (halted/crashed nodes, backlog sheds)
         // accumulate on the NodeModels.
         std::size_t dropped = 0;
         for (const std::size_t n : rt.participants)
             dropped += nodes[n].progress(rt.flowOnNode[n]).dropped;
         stats.windowsDropped = dropped;
-        if (rt.completed > 0) {
+        if (done.count > 0) {
             stats.meanResponse = units::Micros{
-                static_cast<double>(rt.responseSumUs) /
-                static_cast<double>(rt.completed)};
+                static_cast<double>(done.responseSumUs) /
+                static_cast<double>(done.count)};
             stats.maxResponse = units::Micros{
-                static_cast<double>(rt.maxResponseUs)};
+                static_cast<double>(done.maxResponseUs)};
         }
-        if (rt.roundCount > 0) {
+        if (done.roundCount > 0) {
             stats.meanRound =
-                units::Micros{static_cast<double>(rt.roundSumUs) /
-                              static_cast<double>(rt.roundCount)};
+                units::Micros{static_cast<double>(done.roundSumUs) /
+                              static_cast<double>(done.roundCount)};
             stats.maxRound = units::Micros{
-                static_cast<double>(rt.maxRoundUs)};
+                static_cast<double>(done.maxRoundUs)};
         }
         stats.analyticResponse =
             units::Micros{rt.analyticResponseUs};
         stats.analyticRound = units::Micros{rt.analyticRoundUs};
-        stats.packetsSent = rt.packetsSent;
-        stats.packetsCorrupted = rt.packetsCorrupted;
-        stats.retransmissions = rt.retransmissions;
-        stats.packetsLost = rt.packetsLost;
+        stats.packetsSent = rt.tx.packetsSent;
+        stats.packetsCorrupted = rt.tx.packetsCorrupted;
+        stats.retransmissions = rt.tx.retransmissions;
+        stats.packetsLost = rt.tx.packetsLost;
         stats.relayForwards = rt.relayForwards;
-        result.packetsLost += rt.packetsLost;
+        result.packetsLost += rt.tx.packetsLost;
         stats.analyticallySustainable = rt.analyticSustainable;
         // Event-driven verdict: everything completed and the response
         // of the last window did not drift from the first (a stage or
         // the medium falling behind the cadence grows the backlog
         // monotonically).
         stats.sustainable =
-            dropped == 0 && rt.completed == rt.submitted &&
-            (rt.completed == 0 ||
-             rt.lastResponseUs <=
-                 rt.firstResponseUs + rt.windowTicks / 2);
+            dropped == 0 && done.count == rt.submitted &&
+            (done.count == 0 ||
+             done.lastResponseUs <=
+                 done.firstResponseUs + rt.windowTicks / 2);
         result.flows.push_back(std::move(stats));
     }
 

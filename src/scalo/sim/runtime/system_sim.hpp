@@ -12,8 +12,13 @@
  * its own TDMA rounds on an independent medium and owns a private
  * discrete-event queue; relays forward per-cluster aggregates onto a
  * shared backbone medium processed at cluster-synchronisation
- * barriers. A single-cluster plan degenerates to the original flat
- * fabric and reproduces its runs byte for byte. Multi-cluster runs
+ * barriers. Intra-cluster and backbone slots go through one transmit
+ * routine (fragment, send, retransmit corrupted fragments with
+ * backoff); only the channel, RNG streams, trace and BER override
+ * differ. Every run goes through one conservative quantum loop: the
+ * clusters advance to a barrier, then the coordinator runs the
+ * backbone. The flat fabric is the one-cluster case of that loop and
+ * reproduces the pre-hierarchy runs byte for byte. Multi-cluster runs
  * can advance their cluster queues on `util::ThreadPool` workers
  * (`SystemSimConfig::parallel`): clusters only interact through the
  * backbone, which is handled single-threadedly at quantum barriers,
@@ -97,8 +102,9 @@ struct SystemSimConfig
     /**
      * Advance cluster event queues on ThreadPool workers. The serial
      * engine (false, the reference) produces the identical result
-     * and trace; parallelism only changes wall-clock time. No effect
-     * on single-cluster plans.
+     * and trace; parallelism only changes wall-clock time. The pool
+     * never gets more workers than the plan has clusters, so a
+     * single-cluster plan always runs inline (ranParallel false).
      */
     bool parallel = false;
     /** Worker count for parallel runs; 0 picks a default width. */
@@ -282,6 +288,9 @@ class SystemSim
     }
 
   private:
+    struct TxCounters;
+    struct Completions;
+    struct TxLink;
     struct FlowRuntime;
     struct ClusterFlow;
     struct Cluster;
@@ -290,11 +299,28 @@ class SystemSim
 
     void runExchange(Cluster &cluster, std::size_t flow,
                      std::uint64_t window_id);
+    /**
+     * Send @p source's @p bytes-byte payload of @p flow on @p link,
+     * starting at @p cursor (µs): fragment it, transmit each fragment
+     * with retransmissions and backoff, trace and count every
+     * attempt. @return the cursor after the slot and its guard time
+     */
+    double transmit(const TxLink &link, std::size_t flow,
+                    std::size_t source, std::size_t bytes,
+                    double cursor);
     void onExchangeDeadline(Cluster &cluster, std::size_t flow,
                             std::uint64_t window_id);
     void accountWindow(Cluster &cluster, std::size_t flow,
                        std::uint32_t node, std::uint64_t window_id);
     void scheduleFaultEvents();
+    /** Crash (@p up false, at @p crash_at) or reboot @p node and
+     *  trace it as @p what; a no-op if it is already in that state. */
+    void setNodeUp(Cluster &cluster, std::size_t node, bool up,
+                   units::Millis crash_at, const char *what,
+                   std::uint64_t id);
+    /** Queue a FaultInjected marker for a fabric-wide fault. */
+    void markFault(units::Millis at, std::uint32_t medium,
+                   const char *what, std::uint64_t id, double value);
     void declareDead(Cluster &cluster, std::size_t node);
     void declareRecovered(Cluster &cluster, std::size_t node);
     /** Re-solve around the cluster's dead set; update live state. */
@@ -307,8 +333,10 @@ class SystemSim
      * Single-threaded: runs between cluster quanta.
      */
     void processBackbone(std::uint64_t upto_ticks);
+    /** Run @p round at (or after, if the medium is busy) @p at. */
     void runBackboneRound(std::size_t flow, std::uint64_t window_id,
-                          BackboneRound &round, bool timed_out);
+                          BackboneRound &round, std::uint64_t at,
+                          bool timed_out);
     /**
      * Fabric-wide backbone re-stitch if any cluster flagged one (a
      * relay failover or reschedule) or the backbone detector changed

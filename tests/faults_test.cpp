@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -288,72 +289,145 @@ class ContractGuard
     util::ContractHandler previous;
 };
 
+/**
+ * validate() must throw std::invalid_argument naming @p entry (e.g.
+ * "crashes[1]") for @p plan on @p nodes nodes in @p clusters clusters.
+ */
+void
+expectRejected(const sim::FaultPlan &plan, std::size_t nodes,
+               std::size_t clusters, const std::string &entry)
+{
+    try {
+        plan.validate(nodes, clusters);
+        ADD_FAILURE() << entry << " was accepted";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find(entry),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(FaultPlanContracts, ValidateRejectsMalformedPlans)
 {
-    // Contracts follow the build type (contracts_macros.hpp): the
-    // violation half of this test only exists where the library was
-    // compiled with them on — Debug and the sanitizer CI builds.
-    const ContractGuard guard;
-#if SCALO_CONTRACTS
-    {
+    // Checked in every build type, contracts on or off: one case per
+    // check over the node-level kinds, on a 4-node system.
+    const units::Millis negative{-1.0};
+    const auto rejects = [](const auto &edit, const std::string &entry) {
         sim::FaultPlan plan;
-        plan.crashes.push_back({7, 10.0_ms}); // node out of range
-        EXPECT_THROW(plan.validate(4), ContractViolation);
-    }
-    {
-        sim::FaultPlan plan;
-        plan.dropouts.push_back({20.0_ms, 10.0_ms}); // inverted
-        EXPECT_THROW(plan.validate(4), ContractViolation);
-    }
-    {
-        sim::FaultPlan plan;
-        plan.nvmFailures.push_back({0, 1.5}); // probability > 1
-        EXPECT_THROW(plan.validate(4), ContractViolation);
-    }
-    {
-        sim::FaultPlan plan;
-        plan.throttles.push_back({0, 0.0_ms, 10.0_ms, 0.5}); // < 1
-        EXPECT_THROW(plan.validate(4), ContractViolation);
-    }
-#endif
+        edit(plan);
+        expectRejected(plan, 4, 0, entry);
+    };
+    using Plan = sim::FaultPlan;
+    rejects([](Plan &p) { p.crashes.push_back({7, 10.0_ms}); },
+            "crashes[0]"); // node out of range
+    rejects([](Plan &p) { p.crashes.push_back({4, 10.0_ms}); },
+            "crashes[0]"); // node == nodes
+    rejects(
+        [&](Plan &p) {
+            p.crashes.push_back({3, 10.0_ms, 20.0_ms});
+            p.crashes.push_back({0, negative});
+        },
+        "crashes[1]"); // negative crash instant
+    rejects([](Plan &p) { p.crashes.push_back({0, 20.0_ms, 10.0_ms}); },
+            "crashes[0]"); // reboot before the crash
+    rejects([&](Plan &p) { p.dropouts.push_back({negative, 10.0_ms}); },
+            "dropouts[0]");
+    rejects([](Plan &p) { p.dropouts.push_back({20.0_ms, 10.0_ms}); },
+            "dropouts[0]"); // inverted
+    rejects(
+        [&](Plan &p) {
+            p.berSpikes.push_back({negative, 10.0_ms, 1e-3});
+        },
+        "berSpikes[0]");
+    rejects(
+        [](Plan &p) { p.berSpikes.push_back({20.0_ms, 10.0_ms, 1e-3}); },
+        "berSpikes[0]"); // inverted
+    rejects(
+        [](Plan &p) { p.berSpikes.push_back({0.0_ms, 10.0_ms, 1.5}); },
+        "berSpikes[0]"); // BER above 1
+    rejects(
+        [](Plan &p) { p.berSpikes.push_back({0.0_ms, 10.0_ms, -0.1}); },
+        "berSpikes[0]"); // BER below 0
+    rejects([](Plan &p) { p.nvmFailures.push_back({4, 0.5}); },
+            "nvmFailures[0]"); // node out of range
+    rejects([](Plan &p) { p.nvmFailures.push_back({0, 1.5}); },
+            "nvmFailures[0]"); // probability > 1
+    rejects([](Plan &p) { p.nvmFailures.push_back({0, -0.5}); },
+            "nvmFailures[0]"); // probability < 0
+    rejects(
+        [](Plan &p) { p.throttles.push_back({4, 0.0_ms, 10.0_ms, 2.0}); },
+        "throttles[0]"); // node out of range
+    rejects(
+        [&](Plan &p) {
+            p.throttles.push_back({0, negative, 10.0_ms, 2.0});
+        },
+        "throttles[0]");
+    rejects(
+        [](Plan &p) {
+            p.throttles.push_back({0, 20.0_ms, 10.0_ms, 2.0});
+        },
+        "throttles[0]"); // inverted
+    rejects(
+        [](Plan &p) { p.throttles.push_back({0, 0.0_ms, 10.0_ms, 0.5}); },
+        "throttles[0]"); // slowdown < 1
+
     sim::FaultPlan ok;
     ok.crashes.push_back({3, 10.0_ms, 20.0_ms});
-    ok.validate(4); // must not fire
+    ok.validate(4); // must not throw
 }
 
 TEST(FaultPlanContracts, HierarchicalKindsValidate)
 {
-    const ContractGuard guard;
-#if SCALO_CONTRACTS
-    {
-        sim::FaultPlan plan; // cluster index out of range
-        plan.relayCrashes.push_back({3, 10.0_ms});
-        EXPECT_THROW(plan.validate(12, 3), ContractViolation);
-    }
-    {
-        sim::FaultPlan plan; // inverted partition window
-        plan.partitions.push_back({0, 20.0_ms, 10.0_ms});
-        EXPECT_THROW(plan.validate(12, 3), ContractViolation);
-    }
-    {
-        sim::FaultPlan plan; // BER above 1
-        plan.backboneBerSpikes.push_back({0.0_ms, 10.0_ms, 1.5});
-        EXPECT_THROW(plan.validate(12, 3), ContractViolation);
-    }
-    {
-        sim::FaultPlan plan; // reboot before the crash
-        plan.relayCrashes.push_back({0, 20.0_ms, 10.0_ms});
-        EXPECT_THROW(plan.validate(12, 3), ContractViolation);
-    }
-#endif
+    const units::Millis negative{-1.0};
+    const auto rejects = [](const auto &edit, const std::string &entry) {
+        sim::FaultPlan plan;
+        edit(plan);
+        expectRejected(plan, 12, 3, entry);
+    };
+    using Plan = sim::FaultPlan;
+    rejects([](Plan &p) { p.relayCrashes.push_back({3, 10.0_ms}); },
+            "relayCrashes[0]"); // cluster index out of range
+    rejects([&](Plan &p) { p.relayCrashes.push_back({0, negative}); },
+            "relayCrashes[0]");
+    rejects(
+        [](Plan &p) { p.relayCrashes.push_back({0, 20.0_ms, 10.0_ms}); },
+        "relayCrashes[0]"); // reboot before the crash
+    rejects(
+        [](Plan &p) { p.partitions.push_back({3, 10.0_ms, 20.0_ms}); },
+        "partitions[0]"); // cluster index out of range
+    rejects(
+        [&](Plan &p) { p.partitions.push_back({0, negative, 10.0_ms}); },
+        "partitions[0]");
+    rejects(
+        [](Plan &p) { p.partitions.push_back({0, 20.0_ms, 10.0_ms}); },
+        "partitions[0]"); // inverted window
+    rejects(
+        [&](Plan &p) {
+            p.backboneBerSpikes.push_back({negative, 10.0_ms, 1e-3});
+        },
+        "backboneBerSpikes[0]");
+    rejects(
+        [](Plan &p) {
+            p.backboneBerSpikes.push_back({20.0_ms, 10.0_ms, 1e-3});
+        },
+        "backboneBerSpikes[0]"); // inverted
+    rejects(
+        [](Plan &p) {
+            p.backboneBerSpikes.push_back({0.0_ms, 10.0_ms, 1.5});
+        },
+        "backboneBerSpikes[0]"); // BER above 1
+
     sim::FaultPlan ok;
     ok.relayCrashes.push_back({2, 10.0_ms, 20.0_ms});
     ok.partitions.push_back({1, 5.0_ms, 15.0_ms});
     ok.backboneBerSpikes.push_back({0.0_ms, 10.0_ms, 1e-3});
-    ok.validate(12, 3); // must not fire
+    ok.validate(12, 3); // must not throw
     // Callers that do not know their cluster plan yet pass 0: the
     // cluster-range half of the check is deferred, the rest holds.
     ok.validate(12);
+    sim::FaultPlan far_cluster;
+    far_cluster.relayCrashes.push_back({7, 10.0_ms});
+    far_cluster.validate(12);
 }
 
 TEST(ChannelFaults, SetBerContractAndRetarget)
@@ -524,6 +598,33 @@ deploymentSimConfig(units::Millis duration)
     config.schedule = scheduler.schedule(config.flows, {1.0, 3.0});
     config.duration = duration;
     return config;
+}
+
+// An out-of-range crash target is rejected when the SystemSim is
+// built, in every build type, before it can index per-node state.
+TEST(FaultPlanContracts, SystemSimRejectsOutOfRangeCrash)
+{
+    sched::SystemConfig system;
+    system.nodes = 16;
+    system.maxElectrodesPerNode = constants::kElectrodesPerNode;
+    const sched::Scheduler scheduler(system);
+    sim::SystemSimConfig config;
+    config.system = system;
+    config.flows = deploymentFlows();
+    config.priorities = {1.0, 3.0};
+    config.schedule =
+        scheduler.schedule(config.flows, config.priorities);
+    config.duration = 20.0_ms;
+    ASSERT_TRUE(config.schedule.feasible);
+    config.faults.crashes.push_back({40, 10.0_ms});
+    try {
+        sim::SystemSim simulation(config);
+        ADD_FAILURE() << "a crash of node 40 on 16 nodes was accepted";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("crashes[0]"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 // The acceptance scenario: node 1 crashes at t=5 s in the 4-node

@@ -154,6 +154,55 @@ TEST(ParallelSim, ExplicitFlatPlanMatchesEmptyPlan)
     EXPECT_EQ(a.result.clusters, 1u);
     ASSERT_FALSE(a.traceJson.empty());
     EXPECT_EQ(a.traceJson, b.traceJson);
+
+    // Asking for a 4-wide pool on one cluster: the pool is clamped to
+    // the cluster count, so the run stays inline and unchanged.
+    const RunOutput pooled = runWith(with_plan, true, 4);
+    EXPECT_FALSE(pooled.result.ranParallel);
+    EXPECT_EQ(pooled.result.clusters, 1u);
+    EXPECT_EQ(pooled.traceJson, b.traceJson);
+}
+
+TEST(ParallelSim, MergedFailureTimelineIsInDetectionOrder)
+{
+    // Node 20 (cluster 3) crashes at 10 ms, node 2 (cluster 0) at
+    // 40 ms. Cluster 0's events are merged first, so only the
+    // detection-time sort puts cluster 3's earlier death ahead.
+    SystemSimConfig config = clusteredSimConfig(100.0_ms);
+    ASSERT_TRUE(config.schedule.feasible);
+    config.faults.crashes.push_back({20, 10.0_ms});
+    config.faults.crashes.push_back({2, 40.0_ms});
+
+    const RunOutput serial = runWith(config, false, 0);
+    const RunOutput parallel = runWith(config, true, 4);
+    EXPECT_TRUE(parallel.result.ranParallel);
+    EXPECT_EQ(serial.traceJson, parallel.traceJson);
+
+    for (const RunOutput *run : {&serial, &parallel}) {
+        const SystemSimResult &result = run->result;
+        ASSERT_EQ(result.nodesDown.size(), 2u);
+        EXPECT_EQ(result.nodesDown[0].node, 20u);
+        EXPECT_EQ(result.nodesDown[1].node, 2u);
+        EXPECT_LT(result.nodesDown[0].detectedAt.count(),
+                  result.nodesDown[1].detectedAt.count());
+        ASSERT_EQ(result.reschedules.size(), 2u);
+        EXPECT_EQ(result.reschedules[0].deadNodes,
+                  (std::vector<std::size_t>{20}));
+        EXPECT_EQ(result.reschedules[0].resolvedClusters,
+                  (std::vector<std::size_t>{3}));
+        EXPECT_EQ(result.reschedules[1].deadNodes,
+                  (std::vector<std::size_t>{2}));
+        EXPECT_EQ(result.reschedules[1].resolvedClusters,
+                  (std::vector<std::size_t>{0}));
+        EXPECT_LT(result.reschedules[0].at.count(),
+                  result.reschedules[1].at.count());
+    }
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(serial.result.nodesDown[i].detectedAt.count(),
+                  parallel.result.nodesDown[i].detectedAt.count());
+        EXPECT_EQ(serial.result.reschedules[i].at.count(),
+                  parallel.result.reschedules[i].at.count());
+    }
 }
 
 TEST(ParallelSim, RepeatedParallelRunsAreDeterministic)

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "scalo/app/stimulation.hpp"
 #include "scalo/sched/netplan.hpp"
-#include "scalo/sim/pipeline_sim.hpp"
+#include "scalo/sim/event_queue.hpp"
+#include "scalo/sim/runtime/node_model.hpp"
 
 namespace scalo::app {
 namespace {
@@ -125,6 +127,29 @@ namespace {
 
 using namespace units::literals;
 
+// GALS pipeline queueing (Figure 2b / Figure 7) on the node-level
+// runtime: one NodeModel streams windows, one every period, through
+// one pipeline's PE stages, each a server with its Table 1 latency.
+
+units::Millis
+lastLatency(const FlowProgress &progress)
+{
+    return units::Micros{static_cast<double>(progress.lastLatencyUs)};
+}
+
+/** Busy fraction of each stage over @p windows arrivals. */
+std::vector<double>
+stageUtilization(const NodeModel &node, std::size_t flow,
+                 std::size_t windows, units::Millis period)
+{
+    const double total_us =
+        static_cast<double>(windows) * period.in<units::Micros>();
+    std::vector<double> busy = node.stageBusyUs(flow);
+    for (double &us : busy)
+        us /= total_us;
+    return busy;
+}
+
 TEST(PipelineSim, SustainablePipelineHasFixedLatency)
 {
     // FFT(4) + SVM(1.67) + THR(0.06) at a 4 ms cadence: every stage
@@ -133,15 +158,22 @@ TEST(PipelineSim, SustainablePipelineHasFixedLatency)
                           {{hw::PeKind::FFT, 96.0, 1},
                            {hw::PeKind::SVM, 96.0, 1},
                            {hw::PeKind::THR, 96.0, 1}});
-    const auto result = simulatePipeline(pipeline, 200, 4.0_ms);
-    EXPECT_TRUE(result.sustainable);
-    EXPECT_EQ(result.windowsOut, 200u);
-    EXPECT_NEAR(result.lastLatency.count(), 4.0 + 1.67 + 0.06,
-                1e-9);
+    Simulator simulator;
+    NodeModel node(simulator, /*node=*/0);
+    const std::size_t flow = node.addPipeline(pipeline, 4.0_ms);
+    node.streamWindows(flow, 200);
+    simulator.run();
+
+    EXPECT_TRUE(node.analyticallySustainable(flow));
+    EXPECT_EQ(node.progress(flow).completed, 200u);
+    EXPECT_NEAR(lastLatency(node.progress(flow)).count(),
+                4.0 + 1.67 + 0.06, 1e-9);
     // The FFT stage is fully busy at this cadence.
-    EXPECT_NEAR(result.stageUtilization[0], 1.0, 0.02);
-    EXPECT_LT(result.stageUtilization[2], 0.05);
-    EXPECT_GT(result.energy.count(), 0.0);
+    const std::vector<double> utilization =
+        stageUtilization(node, flow, 200, 4.0_ms);
+    EXPECT_NEAR(utilization[0], 1.0, 0.02);
+    EXPECT_LT(utilization[2], 0.05);
+    EXPECT_GT(node.stageEnergy(flow).count(), 0.0);
 }
 
 TEST(PipelineSim, OversubscribedStageBacklogsForever)
@@ -150,18 +182,38 @@ TEST(PipelineSim, OversubscribedStageBacklogsForever)
     // keep up and the latency of later windows grows without bound.
     hw::Pipeline pipeline("detect", {{hw::PeKind::FFT, 96.0, 1},
                                      {hw::PeKind::SVM, 96.0, 1}});
-    const auto result = simulatePipeline(pipeline, 300, 2.0_ms);
-    EXPECT_FALSE(result.sustainable);
-    EXPECT_GT(result.lastLatency, 100.0_ms);
-    EXPECT_GT(result.lastLatency, result.meanLatency);
+    Simulator simulator;
+    NodeModel node(simulator, /*node=*/0);
+    const std::size_t flow = node.addPipeline(pipeline, 2.0_ms);
+    node.streamWindows(flow, 300);
+    simulator.run();
+
+    const FlowProgress &progress = node.progress(flow);
+    EXPECT_FALSE(node.analyticallySustainable(flow));
+    EXPECT_GT(lastLatency(progress), 100.0_ms);
+    EXPECT_GT(lastLatency(progress), progress.meanLatency());
 }
 
 TEST(PipelineSim, FasterCadenceRaisesUtilizationAndEnergyRate)
 {
     hw::Pipeline pipeline("hash", {{hw::PeKind::HCONV, 96.0, 1}});
-    const auto slow = simulatePipeline(pipeline, 100, 8.0_ms);
-    const auto fast = simulatePipeline(pipeline, 100, 2.0_ms);
-    EXPECT_GT(fast.stageUtilization[0], slow.stageUtilization[0]);
+    struct Run
+    {
+        double utilization;
+        units::Millijoules energy;
+    };
+    const auto stream = [&](units::Millis period) {
+        Simulator simulator;
+        NodeModel node(simulator, /*node=*/0);
+        const std::size_t flow = node.addPipeline(pipeline, period);
+        node.streamWindows(flow, 100);
+        simulator.run();
+        return Run{stageUtilization(node, flow, 100, period)[0],
+                   node.stageEnergy(flow)};
+    };
+    const Run slow = stream(8.0_ms);
+    const Run fast = stream(2.0_ms);
+    EXPECT_GT(fast.utilization, slow.utilization);
     // Same work -> same busy energy, independent of cadence.
     EXPECT_NEAR(fast.energy.count(), slow.energy.count(), 1e-9);
 }
